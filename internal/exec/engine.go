@@ -194,11 +194,13 @@ func (c *Compiled) ExecuteStatsContext(ctx context.Context, opts Options) (*Resu
 	return res, run.OpStats(), nil
 }
 
-// drainRun materialises every row of a run; the caller owns Close.
+// drainRun materialises every row of a run, copied into a slab; the
+// caller owns Close.
 func (c *Compiled) drainRun(run *Run) (*Result, error) {
 	res := &Result{d: c.eng.src.Dict(), Vars: append([]sparql.Var(nil), c.vars...)}
+	var slab rowSlab
 	for run.Next() {
-		res.Rows = append(res.Rows, append(Row(nil), run.Row()...))
+		res.Rows = append(res.Rows, slab.copyRow(run.Row()))
 	}
 	if err := run.Err(); err != nil {
 		return nil, err

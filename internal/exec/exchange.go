@@ -137,15 +137,15 @@ func (o *gatherOp) buildStages(rt *runEnv) ([]stageFn, []func() error, error) {
 			j, m := op, chainMetric(rt, op.n, top)
 			shared := memoBuild(asyncBuild(rt, op.openBuild(rt)))
 			resolves = append(resolves, func() error {
-				_, _, err := shared()
+				_, err := shared()
 				return err
 			})
 			stages[i] = func(in iterator) iterator {
 				var it iterator
 				if j.leftOuter {
-					it = &leftJoinIter{l: in, buildSide: shared, keys: j.keys, shared: j.shared}
+					it = &leftJoinIter{l: in, buildSide: shared, shared: j.shared}
 				} else {
-					it = &hashJoinIter{buildSide: shared, r: in, keys: j.keys, shared: j.shared}
+					it = &hashJoinIter{buildSide: shared, r: in, shared: j.shared}
 				}
 				return countRows(it, m)
 			}
@@ -186,12 +186,11 @@ func memoBuild(f buildFn) buildFn {
 	var (
 		once sync.Once
 		t    rowTable
-		all  []Row
 		err  error
 	)
-	return func() (rowTable, []Row, error) {
-		once.Do(func() { t, all, err = f() })
-		return t, all, err
+	return func() (rowTable, error) {
+		once.Do(func() { t, err = f() })
+		return t, err
 	}
 }
 
@@ -297,8 +296,9 @@ func (g *gatherIter) worker(w int) {
 }
 
 // runMorsel replays the whole stage chain over one morsel of the base
-// scan, buffering the output. Rows are copied out of the chain — stage
-// iterators reuse their row storage across Next calls. Cancellation is
+// scan, buffering the output. Rows are copied out of the chain into a
+// slab — stage iterators reuse their row storage across Next calls, and
+// a gathered row must outlive the morsel's iterators. Cancellation is
 // polled every 1024 output rows, the worker-side pull point.
 func (g *gatherIter) runMorsel(i int) ([]Row, error) {
 	s := g.sc.base.s
@@ -317,9 +317,10 @@ func (g *gatherIter) runMorsel(i int) ([]Row, error) {
 		it = stage(it)
 	}
 	var rows []Row
+	var slab rowSlab
 	n := 0
 	for it.Next() {
-		rows = append(rows, append(Row(nil), it.Row()...))
+		rows = append(rows, slab.copyRow(it.Row()))
 		if n++; n&1023 == 0 && g.rt.cancelled() {
 			return nil, errClosed
 		}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 
 	"github.com/sparql-hsp/hsp/internal/dict"
@@ -147,29 +148,33 @@ func (o *orderCheck) Err() error { return o.err }
 
 // --- merge join ---
 
-// mergeJoinIter joins two inputs sorted on the same slot. Groups of
-// equal keys on the right are buffered; every (left row, right row)
-// combination that also agrees on the other shared slots is emitted.
+// mergeJoinIter joins two inputs sorted on the same slot. Input rows are
+// borrowed, never copied, except for the group of equal keys on the
+// right, which is copied back to back into one reusable buffer; every
+// (left row, right row) combination that also agrees on the other
+// shared slots is written into one reused output row.
 type mergeJoinIter struct {
 	l, r   iterator
 	slot   int
 	shared []int // all shared slots, for residual equality checks
 
 	started  bool
-	lRow     Row   // current left row; nil when the left side is exhausted
-	rNext    Row   // lookahead right row; nil when exhausted
-	group    []Row // buffered right rows whose key is groupKey
+	lRow     Row       // current left row, borrowed; nil when the left side is exhausted
+	rNext    Row       // lookahead right row, borrowed; nil when exhausted
+	group    []dict.ID // right rows whose key is groupKey, gw IDs each
+	gw       int
 	groupKey dict.ID
-	gi       int  // next group element for the current left row
+	gi       int  // offset of the next group row for the current left row
 	inGroup  bool // lRow joins the buffered group
 	out      Row
 	err      error
 }
 
-// pull copies the next row from an input, recording its error state.
+// pull advances an input and borrows its row, recording its error
+// state; nil means the input is exhausted.
 func (m *mergeJoinIter) pull(it iterator) Row {
 	if it.Next() {
-		return append(Row(nil), it.Row()...)
+		return it.Row()
 	}
 	if m.err == nil {
 		m.err = it.Err()
@@ -192,9 +197,9 @@ func (m *mergeJoinIter) Next() bool {
 	for {
 		if m.inGroup {
 			for m.gi < len(m.group) {
-				r := m.group[m.gi]
-				m.gi++
-				if out, ok := mergeRows(m.lRow, r, m.shared); ok {
+				r := Row(m.group[m.gi : m.gi+m.gw])
+				m.gi += m.gw
+				if out, ok := mergeRows(m.out, m.lRow, r, m.shared); ok {
 					m.out = out
 					return true
 				}
@@ -225,10 +230,13 @@ func (m *mergeJoinIter) Next() bool {
 				return false
 			}
 		default:
+			// Copy the group out before advancing the right input, which
+			// invalidates the borrowed lookahead.
 			m.group = m.group[:0]
+			m.gw = len(m.rNext)
 			m.groupKey = rk
 			for m.rNext != nil && m.rNext[m.slot] == rk {
-				m.group = append(m.group, m.rNext)
+				m.group = append(m.group, m.rNext...)
 				m.rNext = m.pull(m.r)
 				if m.err != nil {
 					return false
@@ -245,59 +253,186 @@ func (m *mergeJoinIter) Err() error { return m.err }
 
 // --- hash join ---
 
-// rowTable is the build side of a hash join: a lookup structure over
-// the build input's rows, keyed by the join slots. The sequential path
-// uses a single Go map; the parallel path a sharded table built by
-// morsel workers.
+// rowSlab copies rows into shared chunks, so retaining n rows costs a
+// handful of allocations instead of n. Chunks grow with the rows held,
+// from slabMinRows up to slabMaxRows rows each.
+type rowSlab struct {
+	chunks [][]dict.ID // in copy order; rows are carved from the last
+	width  int
+	rows   int
+}
+
+const (
+	slabMinRows = 16
+	slabMaxRows = 8192
+)
+
+// copyRow returns a copy of r carved from the slab. The copy's capacity
+// ends at its length, so appending to it never reaches a neighbour.
+func (s *rowSlab) copyRow(r Row) Row {
+	s.width = len(r)
+	s.rows++
+	if n := len(s.chunks); n == 0 || len(s.chunks[n-1])+len(r) > cap(s.chunks[n-1]) {
+		rows := min(max(s.rows, slabMinRows), slabMaxRows)
+		s.chunks = append(s.chunks, make([]dict.ID, 0, rows*len(r)))
+	}
+	c := &s.chunks[len(s.chunks)-1]
+	i := len(*c)
+	*c = append(*c, r...)
+	return (*c)[i:len(*c):len(*c)]
+}
+
+// all yields the slab's rows in copy order; the rows of one slab all
+// have the same width (one operator's output).
+func (s *rowSlab) all(yield func(Row) bool) {
+	if s.width == 0 {
+		for range s.rows {
+			if !yield(Row{}) {
+				return
+			}
+		}
+		return
+	}
+	for _, c := range s.chunks {
+		for i := 0; i < len(c); i += s.width {
+			if !yield(c[i : i+s.width : i+s.width]) {
+				return
+			}
+		}
+	}
+}
+
+// keyHash hashes the IDs in a row's key slots. It is a bijection for a
+// single key; rows without key slots (cross products, disconnected
+// OPTIONALs) all hash to 0 and share one group.
+func keyHash(r Row, keys []int) uint64 {
+	var h uint64
+	for _, s := range keys {
+		h = (h ^ r[s]) * 0x9e3779b97f4a7c15
+	}
+	return h
+}
+
+// rowTable is the build side of a hash join: lookup returns the build
+// rows whose key slots hold the same IDs as the probe row's, in build
+// order. The sequential path builds one hashTable; the parallel path a
+// shardedTable of them.
 type rowTable interface {
-	lookup(k string) []Row
+	lookup(probe Row) []Row
 	size() int
 }
 
-// mapTable is the single-threaded rowTable.
-type mapTable map[string][]Row
-
-func (t mapTable) lookup(k string) []Row { return t[k] }
-
-func (t mapTable) size() int {
-	n := 0
-	for _, rs := range t {
-		n += len(rs)
-	}
-	return n
+// hashTable indexes build rows by the IDs in their key slots, each
+// key's rows laid out contiguously in build order, so a lookup returns
+// a sub-slice without allocating. It is immutable once built.
+type hashTable struct {
+	keys   []int
+	index  map[uint64]int32 // key hash → first group with that hash
+	groups []tableGroup
+	rows   []Row // grouped by key
 }
 
-// buildFn produces a hash-join build side: a keyed table, or the plain
-// row list for key-less (cross / disconnected-optional) joins.
-type buildFn func() (rowTable, []Row, error)
+// tableGroup is the set of build rows sharing one key.
+type tableGroup struct {
+	key        Row   // the group's first row, holding its key IDs
+	next       int32 // next group with the same hash (a collision), or -1
+	start, end int32 // the group's rows are rows[start:end]
+}
 
-// seqBuild drains an iterator into a mapTable (or a row list when keys
-// is nil), the single-threaded build.
+// newHashTable indexes the rows that rows yields. It ranges over them
+// twice, and they must come out the same both times: once to find each
+// row's group, once to lay the groups out (a stable counting sort).
+// Rows are referenced, not copied.
+func newHashTable(keys []int, rows iter.Seq[Row]) *hashTable {
+	t := &hashTable{keys: keys, index: map[uint64]int32{}}
+	var gid []int32 // group of each row, in build order
+	for r := range rows {
+		h := keyHash(r, keys)
+		g, head := t.group(r, h)
+		if g < 0 {
+			g = int32(len(t.groups))
+			t.groups = append(t.groups, tableGroup{key: r, next: head})
+			t.index[h] = g
+		}
+		t.groups[g].end++ // a row count until the layout pass
+		gid = append(gid, g)
+	}
+	off := int32(0)
+	for i := range t.groups {
+		g := &t.groups[i]
+		g.start, g.end, off = off, off, off+g.end
+	}
+	t.rows = make([]Row, len(gid))
+	i := 0
+	for r := range rows {
+		g := &t.groups[gid[i]]
+		t.rows[g.end] = r
+		g.end++
+		i++
+	}
+	return t
+}
+
+// sameKey reports whether two rows hold the same IDs in every key slot.
+func sameKey(a, b Row, keys []int) bool {
+	for _, s := range keys {
+		if a[s] != b[s] {
+			return false
+		}
+	}
+	return true
+}
+
+// group returns the group whose key equals r's among the groups r's
+// hash h selects, or -1, plus the first group with hash h (-1 if none).
+func (t *hashTable) group(r Row, h uint64) (g, head int32) {
+	head, ok := t.index[h]
+	if !ok {
+		return -1, -1
+	}
+	for g = head; g >= 0; g = t.groups[g].next {
+		if sameKey(t.groups[g].key, r, t.keys) {
+			return g, head
+		}
+	}
+	return -1, head
+}
+
+// find returns the rows whose key equals the probe's, given its hash.
+func (t *hashTable) find(probe Row, h uint64) []Row {
+	g, _ := t.group(probe, h)
+	if g < 0 {
+		return nil
+	}
+	gr := &t.groups[g]
+	return t.rows[gr.start:gr.end:gr.end]
+}
+
+func (t *hashTable) lookup(probe Row) []Row { return t.find(probe, keyHash(probe, t.keys)) }
+func (t *hashTable) size() int              { return len(t.rows) }
+
+// buildFn produces a hash-join build side.
+type buildFn func() (rowTable, error)
+
+// seqBuild drains an iterator into a slab and indexes it, the
+// single-threaded build.
 func seqBuild(in iterator, keys []int) buildFn {
-	return func() (rowTable, []Row, error) {
-		if keys == nil {
-			var all []Row
-			for in.Next() {
-				all = append(all, append(Row(nil), in.Row()...))
-			}
-			return nil, all, in.Err()
-		}
-		table := make(mapTable)
+	return func() (rowTable, error) {
+		var slab rowSlab
 		for in.Next() {
-			r := append(Row(nil), in.Row()...)
-			k := hashKey(r, keys)
-			table[k] = append(table[k], r)
+			slab.copyRow(in.Row())
 		}
-		return table, nil, in.Err()
+		return newHashTable(keys, slab.all), in.Err()
 	}
 }
 
 // hashJoinIter builds a hash table over the left input on the join
-// slots, then streams the right input, preserving its order.
+// slots (none for a Cartesian product), then streams the right input,
+// preserving its order. Probe rows are borrowed; output goes into one
+// reused row.
 type hashJoinIter struct {
 	buildSide buildFn
 	r         iterator
-	keys      []int
 	shared    []int
 	built     bool
 	table     rowTable
@@ -306,14 +441,11 @@ type hashJoinIter struct {
 	rRow      Row
 	out       Row
 	err       error
-	// cross marks a Cartesian product (no key slots).
-	cross bool
-	all   []Row
 }
 
 func (h *hashJoinIter) build() {
 	h.built = true
-	h.table, h.all, h.err = h.buildSide()
+	h.table, h.err = h.buildSide()
 }
 
 func (h *hashJoinIter) Next() bool {
@@ -327,7 +459,7 @@ func (h *hashJoinIter) Next() bool {
 		for h.mIdx < len(h.matches) {
 			l := h.matches[h.mIdx]
 			h.mIdx++
-			if out, ok := mergeRows(l, h.rRow, h.shared); ok {
+			if out, ok := mergeRows(h.out, l, h.rRow, h.shared); ok {
 				h.out = out
 				return true
 			}
@@ -337,29 +469,13 @@ func (h *hashJoinIter) Next() bool {
 			return false
 		}
 		h.rRow = h.r.Row()
-		if h.cross {
-			h.matches = h.all
-		} else {
-			h.matches = h.table.lookup(hashKey(h.rRow, h.keys))
-		}
+		h.matches = h.table.lookup(h.rRow)
 		h.mIdx = 0
 	}
 }
 
 func (h *hashJoinIter) Row() Row   { return h.out }
 func (h *hashJoinIter) Err() error { return h.err }
-
-func hashKey(r Row, slots []int) string {
-	var b strings.Builder
-	b.Grow(len(slots) * 8)
-	for _, s := range slots {
-		v := r[s]
-		for i := 0; i < 8; i++ {
-			b.WriteByte(byte(v >> (8 * i)))
-		}
-	}
-	return b.String()
-}
 
 // RowKey returns a compact identity key over every column of a row,
 // the dedup key for DISTINCT handling (shared with the facade's
@@ -375,47 +491,48 @@ func RowKey(r Row) string {
 	return b.String()
 }
 
-// mergeRows combines a left and right row, requiring agreement on every
-// shared slot bound on both sides.
-func mergeRows(l, r Row, shared []int) (Row, bool) {
+// mergeRows combines a left and right row into dst (reusing its
+// storage), requiring agreement on every shared slot bound on both
+// sides. On a mismatch dst is returned unwritten.
+func mergeRows(dst, l, r Row, shared []int) (Row, bool) {
 	for _, s := range shared {
 		if l[s] != dict.Invalid && r[s] != dict.Invalid && l[s] != r[s] {
-			return nil, false
+			return dst, false
 		}
 	}
-	out := append(Row(nil), l...)
+	dst = append(dst[:0], l...)
 	for i, v := range r {
 		if v != dict.Invalid {
-			out[i] = v
+			dst[i] = v
 		}
 	}
-	return out, true
+	return dst, true
 }
 
 // --- left outer join (OPTIONAL) ---
 
 // leftJoinIter implements the OPTIONAL semantics: the right (optional)
 // input is hashed; left rows stream through, emitting one output row
-// per match, or themselves unchanged when nothing matches.
+// per match, or themselves unchanged when nothing matches. Left rows
+// are borrowed and never written to; matches are merged into buf.
 type leftJoinIter struct {
 	l         iterator
 	buildSide buildFn
-	keys      []int
 	shared    []int
 	built     bool
 	table     rowTable
-	all       []Row // when keys is empty (disconnected OPTIONAL)
 	matches   []Row
 	mIdx      int
 	lRow      Row
 	emitted   bool // whether the current left row produced any output
+	buf       Row  // reused storage for merged rows
 	out       Row
 	err       error
 }
 
 func (h *leftJoinIter) build() {
 	h.built = true
-	h.table, h.all, h.err = h.buildSide()
+	h.table, h.err = h.buildSide()
 }
 
 func (h *leftJoinIter) Next() bool {
@@ -429,9 +546,9 @@ func (h *leftJoinIter) Next() bool {
 		for h.mIdx < len(h.matches) {
 			r := h.matches[h.mIdx]
 			h.mIdx++
-			if out, ok := mergeRows(h.lRow, r, h.shared); ok {
+			if buf, ok := mergeRows(h.buf, h.lRow, r, h.shared); ok {
 				h.emitted = true
-				h.out = out
+				h.buf, h.out = buf, buf
 				return true
 			}
 		}
@@ -447,11 +564,7 @@ func (h *leftJoinIter) Next() bool {
 		}
 		h.lRow = h.l.Row()
 		h.emitted = false
-		if len(h.keys) == 0 {
-			h.matches = h.all
-		} else {
-			h.matches = h.table.lookup(hashKey(h.lRow, h.keys))
-		}
+		h.matches = h.table.lookup(h.lRow)
 		h.mIdx = 0
 	}
 }

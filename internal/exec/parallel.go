@@ -46,22 +46,21 @@ type morselScan struct {
 	src MorselSource
 }
 
-// keyedRow carries a build row with its precomputed join key.
-type keyedRow struct {
-	k string
-	r Row
-}
-
 // shardedTable is the parallel-built rowTable: rows are distributed
 // over power-of-two shards by key hash; probes address exactly one
 // shard.
 type shardedTable struct {
-	shards []mapTable
+	shards []*hashTable
 	mask   uint32
 }
 
-func (t *shardedTable) lookup(k string) []Row {
-	return t.shards[fnv32(k)&t.mask][k]
+// shardOf selects a shard by the high bits of a key hash, the
+// best-mixed bits of keyHash's multiplicative hash.
+func shardOf(h uint64, mask uint32) uint32 { return uint32(h>>32) & mask }
+
+func (t *shardedTable) lookup(probe Row) []Row {
+	h := keyHash(probe, t.shards[0].keys)
+	return t.shards[shardOf(h, t.mask)].find(probe, h)
 }
 
 func (t *shardedTable) size() int {
@@ -70,16 +69,6 @@ func (t *shardedTable) size() int {
 		n += s.size()
 	}
 	return n
-}
-
-// fnv32 is FNV-1a over the key bytes, the shard selector.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // shardCountFor picks a power-of-two shard count with headroom over the
@@ -96,17 +85,17 @@ func shardCountFor(workers int) uint32 {
 }
 
 // parallelBuild returns the build function running the two-phase
-// partitioned build. keys is nil for key-less builds (cross products
-// and disconnected OPTIONALs), which gather rows in morsel order
-// instead of building a table. sm, when non-nil, receives the scan's
-// observed row count and wall time (the scan's own iterator is
-// bypassed, so its metricIter never sees these rows).
+// partitioned build. Key-less builds (cross products and disconnected
+// OPTIONALs) hash every row to 0, so one shard holds them all, in
+// morsel order. sm, when non-nil, receives the scan's observed row
+// count and wall time (the scan's own iterator is bypassed, so its
+// metricIter never sees these rows).
 func (ms *morselScan) parallelBuild(rt *runEnv, keys []int, sm *OpMetrics) buildFn {
-	return func() (rowTable, []Row, error) {
+	return func() (rowTable, error) {
 		start := time.Now()
 		prefix, ok, err := ms.s.resolvePrefix(rt)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !ok {
 			// A bound term absent from the data: the build side is empty.
@@ -115,8 +104,7 @@ func (ms *morselScan) parallelBuild(rt *runEnv, keys []int, sm *OpMetrics) build
 		lo, hi := ms.src.ScanRange(ms.s.s.Ordering, prefix)
 		if hi-lo < minParallelRows {
 			// Too small to be worth partitioning.
-			t, all, err := seqBuild(ms.seqIter(rt, lo, hi, sm), keys)()
-			return t, all, err
+			return seqBuild(ms.seqIter(rt, lo, hi, sm), keys)()
 		}
 		workers := rt.opts.Parallelism
 		nm := (hi - lo + morselRows - 1) / morselRows
@@ -125,10 +113,9 @@ func (ms *morselScan) parallelBuild(rt *runEnv, keys []int, sm *OpMetrics) build
 		}
 		nShards := shardCountFor(workers)
 
-		// Phase 1: workers claim morsels and extract rows, partitioned
-		// by key hash (or flat for key-less builds).
-		perMorsel := make([][][]keyedRow, nm)
-		flat := make([][]Row, nm)
+		// Phase 1: workers claim morsels and copy their rows out, one
+		// slab per shard, so each shard's rows stay in scan order.
+		parts := make([][]rowSlab, nm)
 		var cursor int64
 		var rows int64
 		var wg sync.WaitGroup
@@ -156,52 +143,34 @@ func (ms *morselScan) parallelBuild(rt *runEnv, keys []int, sm *OpMetrics) build
 						slotOf:    ms.s.slotOf,
 						checkSlot: ms.s.checkSlot,
 					}
-					n := int64(0)
-					if keys == nil {
-						var out []Row
-						for it.Next() {
-							out = append(out, append(Row(nil), it.Row()...))
-						}
-						flat[i] = out
-						n = int64(len(out))
-					} else {
-						buckets := make([][]keyedRow, nShards)
-						for it.Next() {
-							r := append(Row(nil), it.Row()...)
-							k := hashKey(r, keys)
-							s := fnv32(k) & (nShards - 1)
-							buckets[s] = append(buckets[s], keyedRow{k: k, r: r})
-						}
-						perMorsel[i] = buckets
-						for _, b := range buckets {
-							n += int64(len(b))
-						}
+					slabs := make([]rowSlab, nShards)
+					for it.Next() {
+						r := it.Row()
+						slabs[shardOf(keyHash(r, keys), nShards-1)].copyRow(r)
 					}
-					atomic.AddInt64(&rows, n)
+					n := 0
+					for _, sl := range slabs {
+						n += sl.rows
+					}
+					parts[i] = slabs
+					atomic.AddInt64(&rows, int64(n))
 					rt.release()
 				}
 			}()
 		}
 		wg.Wait()
 		if rt.cancelled() {
-			return nil, nil, errClosed
+			return nil, errClosed
 		}
 		if sm != nil {
 			atomic.AddInt64(&sm.Rows, atomic.LoadInt64(&rows))
 			sm.Wall += time.Since(start)
 			sm.Parallel = true
 		}
-		if keys == nil {
-			var all []Row
-			for _, f := range flat {
-				all = append(all, f...)
-			}
-			return nil, all, nil
-		}
 
-		// Phase 2: one worker per shard inserts that shard's rows,
-		// morsel by morsel in index order, into its private map.
-		t := &shardedTable{shards: make([]mapTable, nShards), mask: nShards - 1}
+		// Phase 2: one worker per shard indexes that shard's rows, morsel
+		// by morsel in index order, in its private table.
+		t := &shardedTable{shards: make([]*hashTable, nShards), mask: nShards - 1}
 		var shardCursor int64
 		wg = sync.WaitGroup{}
 		for w := 0; w < workers; w++ {
@@ -217,22 +186,24 @@ func (ms *morselScan) parallelBuild(rt *runEnv, keys []int, sm *OpMetrics) build
 						rt.release()
 						return
 					}
-					m := make(mapTable)
-					for i := 0; i < nm; i++ {
-						for _, kr := range perMorsel[i][s] {
-							m[kr.k] = append(m[kr.k], kr.r)
+					t.shards[s] = newHashTable(keys, func(yield func(Row) bool) {
+						for _, slabs := range parts {
+							for r := range slabs[s].all {
+								if !yield(r) {
+									return
+								}
+							}
 						}
-					}
-					t.shards[s] = m
+					})
 					rt.release()
 				}
 			}()
 		}
 		wg.Wait()
 		if rt.cancelled() {
-			return nil, nil, errClosed
+			return nil, errClosed
 		}
-		return t, nil, nil
+		return t, nil
 	}
 }
 

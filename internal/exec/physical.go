@@ -498,7 +498,6 @@ type hashJoinOp struct {
 	probe     physOp // streamed side
 	keys      []int  // nil: key-less (cross product / disconnected OPTIONAL)
 	shared    []int
-	cross     bool // Cartesian product
 	leftOuter bool // OPTIONAL semantics
 	// morsel is the partitioned-scan description of the build side, set
 	// when it is a plain scan over a morsel-capable source; parallel
@@ -513,9 +512,9 @@ func (o *hashJoinOp) open(rt *runEnv) iterator {
 	}
 	var it iterator
 	if o.leftOuter {
-		it = &leftJoinIter{l: o.probe.open(rt), buildSide: bf, keys: o.keys, shared: o.shared}
+		it = &leftJoinIter{l: o.probe.open(rt), buildSide: bf, shared: o.shared}
 	} else {
-		it = &hashJoinIter{buildSide: bf, r: o.probe.open(rt), keys: o.keys, shared: o.shared, cross: o.cross}
+		it = &hashJoinIter{buildSide: bf, r: o.probe.open(rt), shared: o.shared}
 	}
 	return rt.wrap(o.n, it)
 }
@@ -540,19 +539,17 @@ func (o *hashJoinOp) openBuild(rt *runEnv) buildFn {
 	if m == nil {
 		return inner
 	}
-	return func() (rowTable, []Row, error) {
+	return func() (rowTable, error) {
 		start := time.Now()
-		t, all, err := inner()
+		t, err := inner()
 		m.BuildWall = time.Since(start)
 		if t != nil {
 			atomic.StoreInt64(&m.Build, int64(t.size()))
-		} else {
-			atomic.StoreInt64(&m.Build, int64(len(all)))
 		}
 		if parallel {
 			m.Parallel = true
 		}
-		return t, all, err
+		return t, err
 	}
 }
 
@@ -561,7 +558,6 @@ func (o *hashJoinOp) logical() algebra.Node { return o.n }
 // buildResult carries an asynchronous build side to its consumer.
 type buildResult struct {
 	table rowTable
-	all   []Row
 	err   error
 }
 
@@ -574,20 +570,20 @@ func asyncBuild(rt *runEnv, f buildFn) buildFn {
 	rt.wg.Add(1)
 	go func() {
 		defer rt.wg.Done()
-		t, all, err := f()
+		t, err := f()
 		if err != nil {
 			// Record before delivering: the error must reach Err even
 			// when the consumer closes the run without ever pulling.
 			rt.noteErr(err)
 		}
-		ch <- buildResult{t, all, err}
+		ch <- buildResult{t, err}
 	}()
-	return func() (rowTable, []Row, error) {
+	return func() (rowTable, error) {
 		select {
 		case res := <-ch:
-			return res.table, res.all, res.err
+			return res.table, res.err
 		case <-rt.done:
-			return nil, nil, errClosed
+			return nil, errClosed
 		}
 	}
 }
@@ -782,10 +778,13 @@ func (c *Compiled) RowComparator(keys []sparql.OrderKey) (func(a, b Row) int, er
 	return func(a, b Row) int { return compareRows(d, sk, a, b) }, nil
 }
 
+// Dict returns the dictionary the plan's row IDs decode against.
+func (c *Compiled) Dict() *dict.Dict { return c.eng.src.Dict() }
+
 // DecodeRow decodes an output row of the compiled plan to terms,
 // skipping unbound columns. The row must align with Vars.
 func (c *Compiled) DecodeRow(row Row) map[sparql.Var]rdf.Term {
-	d := c.eng.src.Dict()
+	d := c.Dict()
 	out := make(map[sparql.Var]rdf.Term, len(c.vars))
 	for i, v := range c.vars {
 		if id := row[i]; id != dict.Invalid {
@@ -898,7 +897,7 @@ func (c *compiler) compile(n algebra.Node) (physOp, error) {
 			op.morsel = c.morselFor(l)
 			return op, nil
 		default:
-			op := &hashJoinOp{n: n, build: l, probe: r, cross: true}
+			op := &hashJoinOp{n: n, build: l, probe: r}
 			op.morsel = c.morselFor(l)
 			return op, nil
 		}
@@ -1230,11 +1229,6 @@ func (r *Run) Row() Row { return r.row }
 
 // Vars returns the output columns, in row order.
 func (r *Run) Vars() []sparql.Var { return r.c.vars }
-
-// Terms decodes the current row.
-func (r *Run) Terms() map[sparql.Var]rdf.Term {
-	return r.c.DecodeRow(r.row)
-}
 
 // Err returns the first execution error, if any. A run aborted by its
 // context reports the context's error (context.Canceled or

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"github.com/sparql-hsp/hsp/internal/algebra"
 	"github.com/sparql-hsp/hsp/internal/cdp"
 	"github.com/sparql-hsp/hsp/internal/core"
+	"github.com/sparql-hsp/hsp/internal/dict"
 	"github.com/sparql-hsp/hsp/internal/rdf3x"
 	"github.com/sparql-hsp/hsp/internal/sp2bench"
 	"github.com/sparql-hsp/hsp/internal/sparql"
@@ -240,32 +242,76 @@ func TestCompiledReusable(t *testing.T) {
 	}
 }
 
-// TestShardedTable exercises the parallel table directly.
+// TestShardedTable exercises the parallel table directly: every row
+// is found under its key, and an absent key finds nothing.
 func TestShardedTable(t *testing.T) {
 	nShards := shardCountFor(4)
-	st := &shardedTable{shards: make([]mapTable, nShards), mask: nShards - 1}
-	for i := range st.shards {
-		st.shards[i] = make(mapTable)
-	}
-	rows := map[string]Row{}
+	keys := []int{0, 1}
+	perShard := make([][]Row, nShards)
+	var rows []Row
 	for i := 0; i < 1000; i++ {
 		r := Row{uint64(i % 37), uint64(i)}
-		k := hashKey(r, []int{0, 1})
-		rows[k] = r
-		s := fnv32(k) & st.mask
-		st.shards[s][k] = append(st.shards[s][k], r)
+		rows = append(rows, r)
+		s := shardOf(keyHash(r, keys), nShards-1)
+		perShard[s] = append(perShard[s], r)
+	}
+	st := &shardedTable{shards: make([]*hashTable, nShards), mask: nShards - 1}
+	for i := range st.shards {
+		st.shards[i] = newHashTable(keys, slices.Values(perShard[i]))
 	}
 	if st.size() != 1000 {
 		t.Fatalf("size = %d", st.size())
 	}
-	for k, r := range rows {
-		got := st.lookup(k)
-		if len(got) != 1 || got[0][1] != r[1] {
-			t.Fatalf("lookup(%q) = %v, want %v", k, got, r)
+	for _, r := range rows {
+		got := st.lookup(r)
+		if len(got) != 1 || got[0][0] != r[0] || got[0][1] != r[1] {
+			t.Fatalf("lookup(%v) = %v, want [%v]", r, got, r)
 		}
 	}
-	if got := st.lookup("absent"); got != nil {
+	if got := st.lookup(Row{5, 1000}); got != nil {
 		t.Fatalf("lookup(absent) = %v", got)
+	}
+}
+
+// TestHashTableCollisions builds distinct two-slot keys that hash
+// alike: a lookup must still return only the rows whose key IDs equal
+// the probe's (Invalid included), in build order, and nothing for an
+// absent key with the same hash.
+func TestHashTableCollisions(t *testing.T) {
+	keys := []int{0, 2}
+	// keyHash(a, b) = ((a·K) ^ b)·K, so (a, b') collides with (1, 2)
+	// when b' = (1·K) ^ 2 ^ (a·K).
+	mul := func(a dict.ID) dict.ID { return keyHash(Row{a}, []int{0}) }
+	collide := func(a dict.ID) dict.ID { return mul(1) ^ 2 ^ mul(a) }
+	in := []Row{{1, 10, 2}, {3, 11, collide(3)}, {1, 12, 2}, {dict.Invalid, 13, collide(dict.Invalid)}, {3, 14, collide(3)}}
+	for _, r := range in {
+		if keyHash(r, keys) != keyHash(in[0], keys) {
+			t.Fatalf("%v does not collide with %v", r, in[0])
+		}
+	}
+	ht := newHashTable(keys, slices.Values(in))
+	for _, tc := range []struct {
+		probe Row
+		want  []dict.ID // column 1 of the matches
+	}{
+		{Row{1, 0, 2}, []dict.ID{10, 12}},
+		{Row{3, 0, collide(3)}, []dict.ID{11, 14}},
+		{Row{dict.Invalid, 0, collide(dict.Invalid)}, []dict.ID{13}},
+		{Row{7, 0, collide(7)}, nil},
+	} {
+		var ids []dict.ID
+		for _, r := range ht.lookup(tc.probe) {
+			if !sameKey(r, tc.probe, keys) {
+				t.Fatalf("lookup(%v) returned mismatched row %v", tc.probe, r)
+			}
+			ids = append(ids, r[1])
+		}
+		if fmt.Sprint(ids) != fmt.Sprint(tc.want) {
+			t.Errorf("lookup(%v) = %v, want %v", tc.probe, ids, tc.want)
+		}
+	}
+	if len(ht.groups) != 3 {
+		t.Errorf("%d groups, want 3", len(ht.groups))
 	}
 }
 

@@ -73,11 +73,15 @@ func (s *Store) save(w io.Writer, epoch uint64, magic string) error {
 		}
 	}
 
+	// Read the dictionary length once: a live dataset shares its
+	// dictionary with concurrent commits, which may append terms while
+	// the save runs. The stored triples only reference the first n.
 	d := s.Dict()
-	if err := writeUvarint(uint64(d.Len())); err != nil {
+	n := d.Len()
+	if err := writeUvarint(uint64(n)); err != nil {
 		return err
 	}
-	for id := dict.ID(1); int(id) <= d.Len(); id++ {
+	for id := dict.ID(1); int(id) <= n; id++ {
 		t := d.Term(id)
 		if err := bw.WriteByte(byte(t.Kind)); err != nil {
 			return err

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/sparql-hsp/hsp/internal/dict"
 	"github.com/sparql-hsp/hsp/internal/rdf"
 )
 
@@ -265,5 +266,51 @@ func TestApproxBytes(t *testing.T) {
 	want := int64(s.NumTriples()) * 24 * int64(NumOrderings)
 	if got := s.ApproxBytes(); got != want {
 		t.Fatalf("ApproxBytes = %d, want %d", got, want)
+	}
+}
+
+// growingWriter grows a dictionary with a fresh term the first time it
+// is written to, the way a commit racing a save does.
+type growingWriter struct {
+	bytes.Buffer
+	d    *dict.Dict
+	grew bool
+}
+
+func (w *growingWriter) Write(p []byte) (int, error) {
+	if !w.grew {
+		w.grew = true
+		w.d.Encode(rdf.NewIRI("http://e/added-during-save"))
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestSnapshotSaveWhileDictGrows: a save must write exactly the
+// dictionary length it announced, even when the shared dictionary grows
+// mid-save. The store's dictionary exceeds the 4 KiB write buffer, so
+// the first underlying write happens in the middle of the dictionary.
+func TestSnapshotSaveWhileDictGrows(t *testing.T) {
+	b := NewBuilder(nil)
+	for i := 0; i < 300; i++ {
+		b.Add(rdf.Triple{
+			S: rdf.NewIRI(fmt.Sprintf("http://e/subject/%d", i)),
+			P: rdf.NewIRI("http://p/label"),
+			O: rdf.NewLiteral(fmt.Sprintf("a label long enough to fill the buffer %d", i)),
+		})
+	}
+	s := b.Build()
+	w := &growingWriter{d: s.Dict()}
+	if err := NewSnapshot(s, 3).Save(w); err != nil {
+		t.Fatal(err)
+	}
+	if !w.grew {
+		t.Fatal("the dictionary never grew during the save")
+	}
+	loaded, err := LoadSnapshot(&w.Buffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.NumTriples() != s.NumTriples() {
+		t.Fatalf("triples = %d, want %d", loaded.NumTriples(), s.NumTriples())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"github.com/sparql-hsp/hsp/internal/dict"
 	"github.com/sparql-hsp/hsp/internal/exec"
 	"github.com/sparql-hsp/hsp/internal/rdf"
 	"github.com/sparql-hsp/hsp/internal/rewrite"
@@ -461,7 +462,7 @@ func (r *Rows) Next() bool {
 			r.skip--
 			continue
 		}
-		r.decode()
+		r.row = r.decode(r.run.Row())
 		if r.remain > 0 {
 			r.remain--
 		}
@@ -519,7 +520,7 @@ func (r *Rows) nextMerged() bool {
 			r.skip--
 			continue
 		}
-		r.row = r.decodeRow(row)
+		r.row = r.decode(row)
 		if r.remain > 0 {
 			r.remain--
 		}
@@ -548,20 +549,16 @@ func (r *Rows) advanceBranch(i int) bool {
 	return true
 }
 
-// decode converts the run's current row to the public representation.
-func (r *Rows) decode() {
+// decode converts an output row (columns aligned with vars) to the
+// public representation, skipping unbound columns. Every branch reads
+// the same snapshot, so the first branch's dictionary decodes them all.
+func (r *Rows) decode(row exec.Row) map[string]Term {
+	d := r.compiled[0].Dict()
 	out := make(map[string]Term, len(r.vars))
-	for v, t := range r.run.Terms() {
-		out[string(v)] = externTerm(t)
-	}
-	r.row = out
-}
-
-// decodeRow converts a merged row to the public representation.
-func (r *Rows) decodeRow(row exec.Row) map[string]Term {
-	out := make(map[string]Term, len(r.vars))
-	for v, t := range r.compiled[0].DecodeRow(row) {
-		out[string(v)] = externTerm(t)
+	for i, id := range row {
+		if id != dict.Invalid {
+			out[r.vars[i]] = externTerm(d.Term(id))
+		}
 	}
 	return out
 }
